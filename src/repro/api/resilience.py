@@ -738,6 +738,11 @@ class CascadePolicy:
             self._clients.setdefault(index, tier)
             return self._clients[index]
 
+    def resolved_clients(self) -> list:
+        """The tier models :meth:`resolve` has built or returned so far."""
+        with self._lock:
+            return list(self._clients.values())
+
     def effective_threshold(self, prompt: str, threshold: float) -> float:
         """Deterministic per-example threshold (pure function of prompt)."""
         if self.spread == 0.0:

@@ -17,6 +17,14 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Sequence
+from contextvars import ContextVar
+
+#: The score the candidate being evaluated must beat: set by
+#: :meth:`ManualCurator.select` around each candidate's ``evaluate`` call,
+#: ``None`` outside one.  A context variable rather than an argument, so
+#: it reaches the scorer through any one-argument wrapper around
+#: ``evaluate``.
+SCORE_FLOOR: ContextVar[float | None] = ContextVar("score_floor", default=None)
 
 
 class DemonstrationSelector:
@@ -66,6 +74,17 @@ class ManualCurator(DemonstrationSelector):
     validation score (higher is better); the runner wires it to an actual
     model evaluation on a validation sample.  ``pool_cap`` bounds how many
     candidates a "human hour" can examine.
+
+    A step keeps a candidate only if its score is strictly greater than
+    the step's best so far, and :data:`SCORE_FLOOR` holds that best while
+    the candidate is evaluated.  This is the pruning contract: once a
+    candidate provably cannot score above the floor, ``evaluate`` may
+    stop and return any value ``<=`` the floor, because such a candidate
+    could never have been picked.  The chosen list is then the same as
+    with full scores.  The engine's validation scorer does this for
+    metrics that never fall when a wrong prediction is made right (see
+    :func:`repro.core.tasks.engine.make_validation_scorer`); a plain
+    callable that ignores the floor keeps full scoring.
     """
 
     def __init__(
@@ -122,7 +141,11 @@ class ManualCurator(DemonstrationSelector):
             step_best = None
             step_score = -1.0
             for candidate in self._step_candidates(candidates, chosen):
-                score = self.evaluate(chosen + [candidate])
+                token = SCORE_FLOOR.set(step_score)
+                try:
+                    score = self.evaluate(chosen + [candidate])
+                finally:
+                    SCORE_FLOOR.reset(token)
                 if score > step_score:
                     step_score = score
                     step_best = candidate

@@ -61,6 +61,7 @@ import threading
 import time
 
 from repro.core.demonstrations import (
+    SCORE_FLOOR,
     DemonstrationSelector,
     ManualCurator,
     RandomSelector,
@@ -211,6 +212,40 @@ def _parse_checked(spec: TaskSpec, response):
         ) from exc
 
 
+def _build_prompts(spec: TaskSpec, examples, demonstrations: list,
+                   config, k: int = 0) -> list[str]:
+    """Prompts for ``examples``, the shared prefix built once."""
+    if not spec.supports_prefix:
+        return [
+            spec.build_prompt(example, demonstrations, config, k)
+            for example in examples
+        ]
+    # No cross-call cache here: validation scoring sweeps many candidate
+    # demonstration lists, each used exactly once.
+    prefix = spec.build_prefix(demonstrations, config)
+    return [prefix + spec.build_suffix(example, config) for example in examples]
+
+
+def _parse_responses(spec: TaskSpec, responses: list, on_error: str) -> list:
+    """Parse ``responses``; in quarantine mode a failed or unparseable
+    slot becomes ``None`` instead of raising."""
+    from repro.api.batch import BatchFailure
+    from repro.api.retry import ParseError
+
+    if on_error != "quarantine":
+        return [spec.parse_response(response) for response in responses]
+    predictions = []
+    for response in responses:
+        if isinstance(response, BatchFailure):
+            predictions.append(None)
+            continue
+        try:
+            predictions.append(_parse_checked(spec, response))
+        except ParseError:
+            predictions.append(None)
+    return predictions
+
+
 def predict(
     spec: TaskSpec | str,
     model,
@@ -227,37 +262,21 @@ def predict(
     example yields ``None`` in its slot instead of raising; callers
     (validation scorers) drop those slots before scoring.
     """
-    from repro.api.batch import BatchFailure
-    from repro.api.retry import ParseError
-
     spec = get_task(spec)
     on_error = _resolve_on_error(on_error)
-    if spec.supports_prefix:
-        # Build the shared demonstration prefix once for the whole call
-        # (no cross-call cache here: validation scoring sweeps many
-        # candidate demonstration lists, each used exactly once).
-        prefix = spec.build_prefix(demonstrations, config)
-        prompts = [
-            prefix + spec.build_suffix(example, config) for example in examples
-        ]
-    else:
-        prompts = [
-            spec.build_prompt(example, demonstrations, config, k)
-            for example in examples
-        ]
+    prompts = _build_prompts(spec, examples, demonstrations, config, k)
     responses = _complete(model, prompts, workers, on_error=on_error)
-    if on_error != "quarantine":
-        return [spec.parse_response(response) for response in responses]
-    predictions = []
-    for response in responses:
-        if isinstance(response, BatchFailure):
-            predictions.append(None)
-            continue
-        try:
-            predictions.append(_parse_checked(spec, response))
-        except ParseError:
-            predictions.append(None)
-    return predictions
+    return _parse_responses(spec, responses, on_error)
+
+
+#: Validation examples scored between two checks of a curation
+#: candidate's upper bound (see :func:`make_validation_scorer`).
+VALIDATION_CHUNK = 8
+
+#: Metrics that never fall when a wrong prediction is made right, so a
+#: partial score with every unscored slot counted correct bounds the
+#: final score from above.
+_MONOTONE_METRICS = frozenset({"f1", "accuracy"})
 
 
 def make_validation_scorer(
@@ -276,6 +295,27 @@ def make_validation_scorer(
     optimizes exactly what the task reports.  In quarantine mode,
     examples that failed (``None`` predictions) are dropped from the
     score rather than poisoning the curation signal.
+
+    Inside :meth:`~repro.core.demonstrations.ManualCurator.select`, which
+    sets :data:`~repro.core.demonstrations.SCORE_FLOOR` to the score a
+    candidate must beat, a spec whose metric is F1 or accuracy is scored
+    in chunks of :data:`VALIDATION_CHUNK` examples.  Before each chunk
+    (the first included) the upper bound is the spec's own ``score``
+    over the predictions so far with every unscored slot filled by its
+    label; once that bound is ``<=`` the floor the candidate cannot win,
+    and the bound is returned without completing the rest.
+
+    The bound is exact.  Each wrong slot strictly lowers F1 (unless it
+    is already 0.0) and accuracy, and a slot dropped under quarantine is
+    never worth more than a correct one, so every completion of the
+    unscored slots scores at most the bound.  An equal real score means
+    equal confusion counts and so an equal float, and distinct scores
+    over a few dozen examples differ by far more than float rounding, so
+    ``bound <= floor`` as floats implies the true score is ``<= floor``,
+    ties included.  The metric must be monotone in this sense for the
+    argument to hold, which is why pruning is keyed to the metric.
+    Without a floor (any other caller, such as cascade calibration) the
+    whole sample is scored in one fan-out.
     """
     spec = get_task(spec)
     on_error = _resolve_on_error(on_error)
@@ -283,12 +323,9 @@ def make_validation_scorer(
         max_validation = spec.max_validation
     validation = spec.validation_examples(dataset, max_validation)
     labels = [spec.label_of(example) for example in validation]
+    prunable = spec.metric_name in _MONOTONE_METRICS
 
-    def evaluate(demonstrations: list) -> float:
-        predictions = predict(
-            spec, model, validation, demonstrations, config,
-            on_error=on_error,
-        )
+    def score_of(predictions: list) -> float:
         if on_error == "quarantine":
             kept = [
                 (prediction, label, example)
@@ -308,6 +345,22 @@ def make_validation_scorer(
             return metric
         metric, _details = spec.score(predictions, labels, validation)
         return metric
+
+    def evaluate(demonstrations: list) -> float:
+        floor = SCORE_FLOOR.get() if prunable else None
+        prompts = _build_prompts(spec, validation, demonstrations, config)
+        step = VALIDATION_CHUNK if floor is not None else max(1, len(prompts))
+        predictions: list = []
+        for start in range(0, len(prompts), step):
+            if floor is not None:
+                bound = score_of(predictions + labels[start:])
+                if bound <= floor:
+                    return bound
+            responses = _complete(
+                model, prompts[start:start + step], None, on_error=on_error
+            )
+            predictions += _parse_responses(spec, responses, on_error)
+        return score_of(predictions)
 
     return evaluate
 
@@ -378,6 +431,7 @@ def _build_manifest(
     served_by_tier: dict | None = None,
     prefix_cache: dict | None = None,
     cascade: dict | None = None,
+    tier_clients: list = (),
 ) -> RunManifest:
     from repro.api.batch import resolve_workers
     from repro.api.client import CompletionClient
@@ -403,12 +457,18 @@ def _build_manifest(
             }
             cost_usd += usage.cost_usd
             unknown_price = unknown_price or not usage.known_price
+        # Every client that reached a backend: the primary and, under a
+        # cascade, each cheap tier's own client.
+        clients = {id(client): client for client in (model, *tier_clients)}
         cache_section = {
             "hits": hits,
             "lookups": lookups,
             "hit_rate": (hits / lookups) if lookups else 0.0,
             "entries": len(model.cache),
-            "backend_calls": model.stats["backend_calls"],
+            "backend_calls": sum(
+                client.stats["backend_calls"] for client in clients.values()
+                if isinstance(client, CompletionClient)
+            ),
         }
 
     # A model resolved to a failover equivalence group reports its
@@ -1473,6 +1533,7 @@ def run_task(
         served_by_tier=served_by_tier,
         prefix_cache=prefix_section,
         cascade=cascade_section,
+        tier_clients=cascade.resolved_clients() if cascade is not None else (),
     )
     return TaskRun(
         task=spec.name,

@@ -12,6 +12,9 @@ imputation trails few-shot.
 from __future__ import annotations
 
 import re
+import threading
+import weakref
+from collections import defaultdict
 
 from repro.fm.parsing import ImputeExampleParsed, parse_serialized_entity
 from repro.fm.profiles import ModelProfile
@@ -30,6 +33,32 @@ _WORDISH_RE = re.compile(r"[A-Za-z0-9]+")
 _FUNCTION_WORDS = frozenset(
     "a an and are as at be by for from in is it of on or the to with".split()
 )
+
+
+#: Per knowledge base, its ``product_to_manufacturer`` facts tokenized
+#: once: ``(len(kb) when built, facts, postings)``, where ``facts`` holds
+#: ``(frequency, subject tokens, object)`` in the knowledge base's order
+#: and ``postings`` maps a token to the positions of the facts having it.
+_PRODUCT_LINES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_PRODUCT_LINES_LOCK = threading.Lock()
+
+
+def _product_line_index(kb: KnowledgeBase) -> tuple[list, dict]:
+    """``(facts, postings)`` for ``kb``, rebuilt only when it grew."""
+    with _PRODUCT_LINES_LOCK:
+        cached = _PRODUCT_LINES.get(kb)
+        if cached is None or cached[0] != len(kb):
+            facts: list[tuple[float, frozenset[str], str]] = []
+            postings: dict[str, list[int]] = defaultdict(list)
+            for fact in kb.facts_for_relation("product_to_manufacturer"):
+                tokens = frozenset(word_tokens(normalize_value(fact.subject)))
+                if not tokens:
+                    continue
+                for token in tokens:
+                    postings[token].append(len(facts))
+                facts.append((fact.frequency, tokens, fact.obj))
+            cached = _PRODUCT_LINES[kb] = (len(kb), facts, dict(postings))
+        return cached[1], cached[2]
 
 
 class ImputationReasoner:
@@ -269,16 +298,22 @@ class ImputationReasoner:
         name_tokens = set(word_tokens(normalized))
         if not name_tokens:
             return None
+        facts, postings = _product_line_index(self.kb)
+        # A subject within the name shares a token with it; ascending
+        # positions keep the first fact in the knowledge base's order on
+        # ties.
+        positions = sorted(
+            {position for token in name_tokens
+             for position in postings.get(token, ())}
+        )
         best: tuple[float, str] | None = None
-        for fact in self.kb.facts_for_relation("product_to_manufacturer"):
-            if fact.frequency < floor:
-                continue
-            subject_tokens = set(word_tokens(normalize_value(fact.subject)))
-            if not subject_tokens or not subject_tokens <= name_tokens:
+        for position in positions:
+            frequency, subject_tokens, obj = facts[position]
+            if frequency < floor or not subject_tokens <= name_tokens:
                 continue
             score = len(subject_tokens)
             if best is None or score > best[0]:
-                best = (score, fact.obj)
+                best = (score, obj)
         return best[1] if best else None
 
     # -- fallback guesses -------------------------------------------------------

@@ -23,7 +23,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.api.resilience import PRIORITIES
-from repro.core.tasks.spec import available_tasks
+from repro.core.tasks.spec import get_task
 
 __all__ = [
     "QueueFull",
@@ -73,8 +73,11 @@ class WrangleRequest:
             raise ValueError(
                 f"priority must be one of {PRIORITIES}, got {self.priority!r}"
             )
-        if self.task not in available_tasks():
-            raise ValueError(f"unknown task {self.task!r}")
+        try:
+            # Canonical name, so alias and canonical requests share a group.
+            self.task = get_task(self.task).name
+        except KeyError:
+            raise ValueError(f"unknown task {self.task!r}") from None
         if (self.indices is None) == (self.rows is None):
             raise ValueError(
                 "exactly one of indices/rows must be provided"

@@ -159,6 +159,26 @@ class TestEscalationAccounting:
                 assert usage[tier]["n_requests"] >= calls
 
 
+    def test_manifest_backend_calls_count_every_tier(self, monkeypatch):
+        from repro.fm.engine import SimulatedFoundationModel
+
+        seam = []
+        complete = SimulatedFoundationModel.complete
+
+        def counted(model, *args, **kwargs):
+            seam.append(model.name)
+            return complete(model, *args, **kwargs)
+
+        monkeypatch.setattr(SimulatedFoundationModel, "complete", counted)
+        run = run_task(
+            "em", CompletionClient("gpt3-175b"), load_dataset("beer"),
+            selection="random", cascade=True,
+        )
+        assert len(set(seam)) == 3
+        assert run.manifest.cache["backend_calls"] == len(seam)
+        assert run.manifest.cache["entries"] == len(seam)
+
+
 class TestThresholdExtremes:
     def test_zero_threshold_serves_everything_from_cheapest(self, walmart):
         run = _run(walmart, threshold=0.0)

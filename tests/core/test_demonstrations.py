@@ -1,6 +1,6 @@
 """Tests for repro.core.demonstrations."""
 
-from repro.core.demonstrations import ManualCurator, RandomSelector
+from repro.core.demonstrations import SCORE_FLOOR, ManualCurator, RandomSelector
 
 
 POOL = [("pos", i) if i % 4 == 0 else ("neg", i) for i in range(40)]
@@ -86,3 +86,18 @@ class TestManualCurator:
 
         ManualCurator(evaluate=evaluate, pool_cap=6, seed=0).select(POOL, 2)
         assert len(examined) <= 6
+
+    def test_score_floor_is_the_step_best_so_far(self):
+        seen = []
+
+        def evaluate(demos):
+            seen.append((len(demos), SCORE_FLOOR.get()))
+            return float(sum(item[1] for item in demos) % 7)
+
+        ManualCurator(evaluate=evaluate, pool_cap=6, seed=0).select(POOL, 2)
+        assert seen[0] == (0, None)  # the empty list is scored unfloored
+        for size in (1, 2):
+            floors = [floor for n, floor in seen if n == size]
+            assert floors[0] == -1.0
+            assert floors == sorted(floors)
+        assert SCORE_FLOOR.get() is None

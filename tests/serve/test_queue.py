@@ -52,6 +52,11 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             make_request(task="mystery")
 
+    def test_task_alias_resolves_to_canonical_name(self):
+        request = make_request(task="em")
+        assert request.task == "entity_matching"
+        assert request.group_key == make_request().group_key
+
     def test_rejects_both_indices_and_rows(self):
         with pytest.raises(ValueError):
             WrangleRequest(tenant="t", task="entity_matching",
