@@ -13,10 +13,14 @@ applied at the request orchestration layer.
 
 The facade guarantee: this class takes the same constructor arguments
 and exposes the same ``map``/``records``/``aborted`` API as
-``BatchExecutor``, and its per-item decision order is a line-for-line
-twin of ``BatchExecutor._run_one`` — abort check, circuit breaker,
-deadline, budget charge, admission, the call itself, retry
-classification, decorrelated per-item backoff.  Every PR 1–5 knob
+``BatchExecutor``, and it has no per-item decision logic of its own.
+Both executors drive one decision core, ``BatchExecutor._steps`` —
+shed verdict, abort check, breaker, the guarded attempt (deadline,
+budget charge, admission, the call itself), retry classification,
+decorrelated per-item backoff with the Retry-After floor and deadline
+clamp, and the request record.  Each executor supplies only a driver:
+how one attempt runs (here inline on the loop, or offloaded) and how a
+backoff waits (here awaited, cut short by a fatal abort).  Every knob
 (retry policy, breaker, shared budget, fault plans via the client,
 deadlines, hedging, admission control, checkpoints) therefore behaves
 identically through either path, and predictions, quarantine sets, and
@@ -35,16 +39,9 @@ from __future__ import annotations
 import asyncio
 import atexit
 import threading
-import time
 from collections.abc import Callable, Iterable
 
-from repro.api.batch import BatchExecutor, BatchFailure
-from repro.api.retry import (
-    CircuitOpenError,
-    FatalError,
-    Shed,
-    retry_after_floor,
-)
+from repro.api.batch import BatchExecutor
 
 __all__ = [
     "AsyncBatchExecutor",
@@ -110,37 +107,17 @@ def shutdown_serving_loop() -> None:
 atexit.register(shutdown_serving_loop)
 
 
-#: Slot marker for items skipped after a sibling's terminal failure in
-#: ``on_error="raise"`` mode — the async analog of a cancelled future.
-_CANCELLED = object()
-
-
-class _AsyncMapRun:
-    """Abort/fail state scoped to one ``amap`` call (loop-confined)."""
-
-    __slots__ = ("abort", "fatal", "stop")
-
-    def __init__(self):
-        self.abort = asyncio.Event()
-        self.fatal: BaseException | None = None
-        # raise-mode flag: a sibling failed terminally, so items that
-        # have not started yet skip (the thread pool's future.cancel()).
-        self.stop = False
-
-    def set_fatal(self, exc: BaseException) -> None:
-        if self.fatal is None:
-            self.fatal = exc
-        self.abort.set()
-
-
 class AsyncBatchExecutor(BatchExecutor):
-    """Continuous-batching twin of :class:`~repro.api.batch.BatchExecutor`.
+    """Continuous-batching driver of :class:`~repro.api.batch.BatchExecutor`.
 
     Constructor, ``map``, ``records``, and ``aborted`` are inherited
-    API-for-API; ``workers`` becomes the semaphore width on the shared
-    serving loop instead of a thread count.  ``map`` bridges from sync
-    callers; async callers (the gateway) await :meth:`amap` directly on
-    the serving loop via :func:`asyncio.run_coroutine_threadsafe`.
+    API-for-API, and so is the per-item decision order
+    (:meth:`~repro.api.batch.BatchExecutor._steps`); this class only
+    drives it on the serving loop.  ``workers`` becomes the semaphore
+    width on the shared serving loop instead of a thread count.  ``map``
+    bridges from sync callers; async callers (the gateway) await
+    :meth:`amap` directly on the serving loop via
+    :func:`asyncio.run_coroutine_threadsafe`.
 
     ``offload=None`` (auto) runs attempts inline except when an
     admission controller is attached; ``True`` always offloads to the
@@ -172,124 +149,40 @@ class AsyncBatchExecutor(BatchExecutor):
             self._semaphore = asyncio.Semaphore(self.workers)
         return self._semaphore
 
-    async def _attempt(self, fn: Callable, item, loop) -> object:
-        """One guarded attempt: deadline, budget, admission, the call.
-
-        Mirrors the ``try`` body of ``BatchExecutor._run_one`` exactly;
-        admission release bookkeeping stays inside so the offloaded and
-        inline paths share one code path.
-        """
-
-        def attempt_once():
-            if self.deadline is not None:
-                self.deadline.check()
-            if self.budget is not None:
-                self.budget.charge(requests=1, tokens=self._tokens_for(item))
-            acquired = False
-            try:
-                if self.admission is not None:
-                    self.admission.acquire()
-                    acquired = True
-                result = fn(item)
-            except FatalError:
-                if acquired:
-                    self.admission.release(ok=False)
-                raise
-            except BaseException as exc:
-                if acquired:
-                    self.admission.release(ok=not self.policy.is_retryable(exc))
-                raise
-            if acquired:
-                self.admission.release(ok=True)
-            return result
-
-        if self._must_offload():
-            return await loop.run_in_executor(None, attempt_once)
-        return attempt_once()
-
     async def _run_one_async(
-        self, fn: Callable, item, index: int, run: _AsyncMapRun,
-        on_error: str, verdict: str = "admit",
+        self, fn: Callable, item, index: int, run, on_error: str,
+        verdict: str,
     ):
-        started = time.perf_counter()
-        attempts = 0
-        if verdict == "shed":
-            # Planned before the fan-out, identically to the thread pool:
-            # refused outright, zero backend calls.
-            exc = Shed(
-                f"admission control shed item {index} "
-                f"(priority {self.priority!r})"
-            )
-            self._record(index, False, 0, started, error=exc)
-            if on_error == "return":
-                return BatchFailure(index, exc, 0)
-            raise exc
+        """Async driver: attempt inline or offloaded, await the abort event."""
         loop = asyncio.get_running_loop()
-        while True:
-            if run.abort.is_set():
-                exc = run.fatal or FatalError("batch aborted")
-                if attempts:
-                    self._record(index, False, attempts, started, error=exc)
-                raise exc
-            if on_error == "raise" and run.stop and not attempts:
-                # A sibling already failed terminally and map() is going
-                # to raise; never-started items skip, like cancelled
-                # futures (no record — cancelled, not failed).
-                return _CANCELLED
-            if self.breaker is not None and not self.breaker.allow():
-                attempts += 1
-                exc = CircuitOpenError(
-                    "circuit breaker open after "
-                    f"{self.breaker.failure_threshold} consecutive "
-                    "transient failures"
-                )
-                self._record(index, False, attempts, started, error=exc)
-                if on_error == "return":
-                    return BatchFailure(index, exc, attempts)
-                run.stop = True
-                raise exc
-            attempts += 1
-            try:
-                result = await self._attempt(fn, item, loop)
-            except FatalError as exc:
-                run.set_fatal(exc)
-                self._record(index, False, attempts, started, error=exc)
-                raise
-            except BaseException as exc:
-                if self.breaker is not None and self.policy.is_retryable(exc):
-                    self.breaker.record_failure()
-                if not self.policy.should_retry(exc, attempts):
-                    self._record(index, False, attempts, started, error=exc)
-                    if on_error == "return":
-                        return BatchFailure(index, exc, attempts)
-                    run.stop = True
-                    raise
-                # Same decorrelated per-item backoff as the thread pool,
-                # awaited instead of slept — and cut short by a fatal
-                # abort, exactly like Event.wait(delay).
-                delay = self.policy.delay(attempts - 1, key=str(index))
-                # Same Retry-After floor as the thread pool.
-                delay = max(delay, retry_after_floor(exc))
-                if self.deadline is not None:
-                    delay = self.deadline.clamp(delay)
-                try:
-                    await asyncio.wait_for(run.abort.wait(), timeout=delay)
-                except asyncio.TimeoutError:
-                    pass
-                continue
-            if self.breaker is not None:
-                self.breaker.record_success()
-            self._record(index, True, attempts, started)
-            return result
-
-    async def _run_item(
-        self, fn: Callable, item, index: int, run: _AsyncMapRun,
-        on_error: str, verdict: str,
-    ):
+        offload = self._must_offload()
         async with self._sem():
-            return await self._run_one_async(
-                fn, item, index, run, on_error, verdict
-            )
+            steps = self._steps(index, run, on_error, verdict)
+            try:
+                step = next(steps)
+                while True:
+                    if step is None:
+                        try:
+                            if offload:
+                                result = await loop.run_in_executor(
+                                    None, self._attempt, fn, item
+                                )
+                            else:
+                                result = self._attempt(fn, item)
+                        except BaseException as exc:
+                            step = steps.throw(exc)
+                        else:
+                            step = steps.send(result)
+                    else:
+                        try:
+                            await asyncio.wait_for(
+                                run.abort.wait(), timeout=step
+                            )
+                        except asyncio.TimeoutError:
+                            pass
+                        step = next(steps)
+            except StopIteration as done:
+                return done.value
 
     async def amap(
         self, fn: Callable, items: Iterable, on_error: str = "raise"
@@ -301,24 +194,14 @@ class AsyncBatchExecutor(BatchExecutor):
         aborting the whole call — with the semaphore, not a pool
         boundary, as the only capacity limit.
         """
-        if on_error not in ("raise", "return"):
-            raise ValueError(
-                f'on_error must be "raise" or "return", got {on_error!r}'
-            )
-        items = list(items)
-        run = _AsyncMapRun()
-        self._last_run = run
+        items, run, verdicts = self._start(items, on_error, asyncio.Event())
         if not items:
             return []
-        if self.admission is not None:
-            # Drawn here, once, in input order — the same pre-fan-out
-            # plan that makes shed sets identical at any concurrency.
-            verdicts = self.admission.plan(len(items), self.priority)
-        else:
-            verdicts = ["admit"] * len(items)
         tasks = [
             asyncio.ensure_future(
-                self._run_item(fn, item, index, run, on_error, verdicts[index])
+                self._run_one_async(
+                    fn, item, index, run, on_error, verdicts[index]
+                )
             )
             for index, item in enumerate(items)
         ]

@@ -39,6 +39,7 @@ from repro.api.retry import (
     CircuitOpenError,
     FatalError,
     RetryPolicy,
+    Shed,
     retry_after_floor,
 )
 from repro.api.usage import UsageTracker, count_tokens
@@ -274,22 +275,31 @@ class CircuitBreaker:
             }
 
 
+#: Slot marker for an item skipped after a sibling's terminal failure in
+#: ``on_error="raise"`` mode: it never started, like a cancelled future.
+#: It never reaches a caller, because the ``map`` call then raises.
+_CANCELLED = object()
+
+
 class _MapRun:
     """Abort/fatal state scoped to one ``map`` call.
 
-    Previously this state lived on the executor itself and was recycled
-    by clearing an event at the top of ``map`` — which meant a fatal
-    abort could leak into (or be cleared out from under) another ``map``
-    on the same executor.  Per-run state makes reuse and concurrent
-    ``map`` calls trivially safe: each run aborts only itself.
+    Per-run state makes reuse and concurrent ``map`` calls on one
+    executor safe: each run aborts only itself.  ``abort`` is a
+    ``threading.Event`` for the thread pool and a loop-confined
+    ``asyncio.Event`` for the async executor; the decision core only
+    sets and tests it, and each driver waits on it in its own way.
     """
 
-    __slots__ = ("abort", "fatal", "lock")
+    __slots__ = ("abort", "fatal", "lock", "stop")
 
-    def __init__(self):
-        self.abort = threading.Event()
+    def __init__(self, abort):
+        self.abort = abort
         self.fatal: BaseException | None = None
         self.lock = threading.Lock()
+        # raise mode: a sibling failed terminally and map() is going to
+        # raise, so items that have not started yet skip.
+        self.stop = False
 
     def set_fatal(self, exc: BaseException) -> None:
         with self.lock:
@@ -352,11 +362,12 @@ class BatchExecutor:
     """Fan a list of prompts (or arbitrary items) across a thread pool.
 
     ``map(fn, items)`` preserves input order in its result list.  Retry
-    behaviour comes from one :class:`~repro.api.retry.RetryPolicy`: each
-    item gets up to ``1 + policy.max_retries`` attempts, and attempts
-    failing with a retryable error sleep the policy's deterministic
-    exponential backoff before retrying.  A final failure re-raises from
-    ``map`` — or, with ``map(..., on_error="return")``, is captured as a
+    behaviour comes from one :class:`~repro.api.retry.RetryPolicy`
+    (``policy``; the default policy when omitted): each item gets up to
+    ``1 + policy.max_retries`` attempts, and attempts failing with a
+    retryable error sleep the policy's deterministic exponential backoff
+    before retrying.  A final failure re-raises from ``map`` — or, with
+    ``map(..., on_error="return")``, is captured as a
     :class:`BatchFailure` in that item's result slot so the caller can
     quarantine the example and keep the batch alive.
 
@@ -397,18 +408,14 @@ class BatchExecutor:
     :meth:`~repro.api.retry.RetryPolicy.delay`), so concurrent retries
     of different items never synchronize into a thundering herd.
 
-    The legacy ``max_retries``/``backoff_base``/``backoff_cap``/
-    ``retry_on`` knobs are still accepted and folded into a policy;
-    passing both a ``policy`` and loose knobs is an error.
+    The per-item decision order lives once, in :meth:`_steps`; this
+    class's thread driver (:meth:`_run_one`) and the async executor's
+    driver only run its attempts and wait out its backoffs.
     """
 
     def __init__(
         self,
         workers: int | None = None,
-        max_retries: int | None = None,
-        backoff_base: float | None = None,
-        backoff_cap: float | None = None,
-        retry_on: tuple[type[BaseException], ...] | None = None,
         budget: SharedBudget | None = None,
         usage: UsageTracker | None = None,
         policy: RetryPolicy | None = None,
@@ -418,29 +425,8 @@ class BatchExecutor:
         priority: str = "bench",
         token_cost: Callable | None = None,
     ):
-        knobs = (max_retries, backoff_base, backoff_cap, retry_on)
-        if policy is None:
-            default = RetryPolicy()
-            policy = RetryPolicy(
-                max_retries=(
-                    default.max_retries if max_retries is None else max_retries
-                ),
-                backoff_base=(
-                    default.backoff_base if backoff_base is None else backoff_base
-                ),
-                backoff_cap=(
-                    default.backoff_cap if backoff_cap is None else backoff_cap
-                ),
-                retry_on=(
-                    default.retry_on if retry_on is None else tuple(retry_on)
-                ),
-            )
-        elif any(knob is not None for knob in knobs):
-            raise ValueError(
-                "pass either a RetryPolicy or loose retry knobs, not both"
-            )
         self.workers = resolve_workers(workers)
-        self.policy = policy
+        self.policy = policy if policy is not None else RetryPolicy()
         self.budget = budget
         self.usage = usage
         self.breaker = breaker
@@ -455,28 +441,6 @@ class BatchExecutor:
         self.records: list[RequestRecord] = []
         self._records_lock = threading.Lock()
         self._last_run: _MapRun | None = None
-
-    # Legacy views onto the policy (kept so existing call sites and tests
-    # that introspect the executor keep working).
-    @property
-    def max_retries(self) -> int:
-        return self.policy.max_retries
-
-    @property
-    def backoff_base(self) -> float:
-        return self.policy.backoff_base
-
-    @property
-    def backoff_cap(self) -> float:
-        return self.policy.backoff_cap
-
-    @property
-    def retry_on(self) -> tuple[type[BaseException], ...]:
-        return tuple(self.policy.retry_on)
-
-    def backoff_delay(self, attempt: int) -> float:
-        """Deterministic backoff before retry number ``attempt + 1``."""
-        return self.policy.delay(attempt)
 
     @property
     def aborted(self) -> bool:
@@ -506,101 +470,165 @@ class BatchExecutor:
         if self.usage is not None:
             self.usage.log_request(record)
 
-    def _run_one(
-        self, fn: Callable, item, index: int, run: _MapRun, on_error: str,
-        verdict: str = "admit",
+    def _attempt(self, fn: Callable, item):
+        """One guarded attempt: deadline, budget, admission, then ``fn``.
+
+        Runs on whatever thread the driver chooses (the async executor
+        may offload it), so the admission release stays inside.
+        """
+        if self.deadline is not None:
+            # Fatal on expiry, so the whole batch fails fast.
+            self.deadline.check()
+        if self.budget is not None:
+            self.budget.charge(requests=1, tokens=self._tokens_for(item))
+        if self.admission is None:
+            return fn(item)
+        # The AIMD queue: blocks while the window is full.
+        self.admission.acquire()
+        try:
+            result = fn(item)
+        except FatalError:
+            self.admission.release(ok=False)
+            raise
+        except BaseException as exc:
+            self.admission.release(ok=not self.policy.is_retryable(exc))
+            raise
+        self.admission.release(ok=True)
+        return result
+
+    def _fail(
+        self, index: int, exc: BaseException, attempts: int, started: float,
+        run: _MapRun, on_error: str,
     ):
+        """Record a terminal failure; return its slot or raise it."""
+        self._record(index, False, attempts, started, error=exc)
+        if on_error == "return":
+            return BatchFailure(index, exc, attempts)
+        run.stop = True
+        raise exc
+
+    def _steps(self, index: int, run: _MapRun, on_error: str, verdict: str):
+        """The per-item decision order, written once for both drivers.
+
+        A generator that does no I/O itself: it yields ``None`` when its
+        driver must run one :meth:`_attempt` (and send back the result,
+        or throw in the error), and a delay in seconds when the driver
+        must wait, cut short if the run aborts.  It returns the item's
+        result slot, or raises the item's terminal error.
+        """
         started = time.perf_counter()
-        attempts = 0
         if verdict == "shed":
             # Planned before the fan-out: this item is refused outright —
             # zero backend calls, zero retries, zero backoff.
-            from repro.api.retry import Shed
-
             exc = Shed(
                 f"admission control shed item {index} "
                 f"(priority {self.priority!r})"
             )
-            self._record(index, False, 0, started, error=exc)
-            if on_error == "return":
-                return BatchFailure(index, exc, 0)
-            raise exc
+            return self._fail(index, exc, 0, started, run, on_error)
+        attempts = 0
         while True:
             if run.abort.is_set():
-                # Another worker hit a fatal error; don't start new
+                # Another item hit a fatal error; don't start new
                 # attempts.  Items that never attempted are not recorded
                 # (they were cancelled, not failed).
                 exc = run.fatal or FatalError("batch aborted")
                 if attempts:
                     self._record(index, False, attempts, started, error=exc)
                 raise exc
+            if run.stop and not attempts and on_error == "raise":
+                # A sibling already failed terminally and map() is going
+                # to raise: a never-started item skips, unrecorded.
+                return _CANCELLED
+            attempts += 1
             if self.breaker is not None and not self.breaker.allow():
                 # Endpoint presumed down: fail this item fast instead of
                 # burning its retry/backoff budget on a known outage.
-                attempts += 1
                 exc = CircuitOpenError(
                     "circuit breaker open after "
                     f"{self.breaker.failure_threshold} consecutive "
                     "transient failures"
                 )
-                self._record(index, False, attempts, started, error=exc)
-                if on_error == "return":
-                    return BatchFailure(index, exc, attempts)
-                raise exc
-            attempts += 1
-            acquired = False
+                return self._fail(index, exc, attempts, started, run, on_error)
             try:
-                if self.deadline is not None:
-                    # Fatal on expiry — caught below with the other
-                    # FatalErrors so the whole batch fails fast.
-                    self.deadline.check()
-                if self.budget is not None:
-                    self.budget.charge(requests=1, tokens=self._tokens_for(item))
-                if self.admission is not None:
-                    # The AIMD queue: blocks while the window is full.
-                    self.admission.acquire()
-                    acquired = True
-                result = fn(item)
+                result = yield None
             except FatalError as exc:
-                # Checked before retry_on: BudgetExhaustedError is a
-                # RateLimitError, but backing off cannot refill a budget.
-                if acquired:
-                    self.admission.release(ok=False)
+                # Checked before retry classification: BudgetExhaustedError
+                # is a RateLimitError, but backing off cannot refill a
+                # budget.
                 run.set_fatal(exc)
                 self._record(index, False, attempts, started, error=exc)
                 raise
-            except BaseException as exc:
-                retryable = self.policy.is_retryable(exc)
-                if acquired:
-                    self.admission.release(ok=not retryable)
-                if self.breaker is not None and retryable:
+            except Exception as exc:
+                # Interrupts, exits and task cancellation are not item
+                # failures: they propagate unrecorded, in either mode.
+                if self.breaker is not None and self.policy.is_retryable(exc):
                     # Transient failures gauge endpoint health; permanent
                     # errors (a parse bug, bad input) say nothing about it.
                     self.breaker.record_failure()
                 if not self.policy.should_retry(exc, attempts):
-                    self._record(index, False, attempts, started, error=exc)
-                    if on_error == "return":
-                        return BatchFailure(index, exc, attempts)
-                    raise
-                # Backoff that wakes immediately if the batch aborts —
-                # the abort check at loop top then raises without a new
-                # attempt.  Jittered per item (so concurrent retries
-                # decorrelate) and clamped to the deadline (so a sleep
-                # can never outlive the wall budget).
-                delay = self.policy.delay(attempts - 1, key=str(index))
-                # An explicit Retry-After from the endpoint is a floor
-                # under the ladder, never undercut by its early rungs.
-                delay = max(delay, retry_after_floor(exc))
+                    return self._fail(
+                        index, exc, attempts, started, run, on_error
+                    )
+                # Jittered per item (so concurrent retries decorrelate);
+                # an explicit Retry-After from the endpoint is a floor
+                # under the ladder; clamped to the deadline (so a wait can
+                # never outlive the wall budget).
+                delay = max(
+                    self.policy.delay(attempts - 1, key=str(index)),
+                    retry_after_floor(exc),
+                )
                 if self.deadline is not None:
                     delay = self.deadline.clamp(delay)
-                run.abort.wait(delay)
-                continue
-            if acquired:
-                self.admission.release(ok=True)
-            if self.breaker is not None:
-                self.breaker.record_success()
-            self._record(index, True, attempts, started)
-            return result
+            else:
+                if self.breaker is not None:
+                    self.breaker.record_success()
+                self._record(index, True, attempts, started)
+                return result
+            # The abort check at loop top then raises without a new
+            # attempt if the run aborted during the wait.
+            yield delay
+
+    def _run_one(
+        self, fn: Callable, item, index: int, run: _MapRun, on_error: str,
+        verdict: str,
+    ):
+        """Thread driver: attempt on this thread, wait on the abort event."""
+        steps = self._steps(index, run, on_error, verdict)
+        try:
+            step = next(steps)
+            while True:
+                if step is None:
+                    try:
+                        result = self._attempt(fn, item)
+                    except BaseException as exc:
+                        step = steps.throw(exc)
+                    else:
+                        step = steps.send(result)
+                else:
+                    run.abort.wait(step)
+                    step = next(steps)
+        except StopIteration as done:
+            return done.value
+
+    def _start(self, items: Iterable, on_error: str, abort):
+        """The head ``map`` and ``amap`` share: check, scope, shed plan.
+
+        The shed plan is drawn here, once, in input order, before any
+        item starts — which is what makes shed decisions byte-identical
+        at any worker count and through either executor.
+        """
+        if on_error not in ("raise", "return"):
+            raise ValueError(
+                f'on_error must be "raise" or "return", got {on_error!r}'
+            )
+        items = list(items)
+        run = _MapRun(abort)
+        self._last_run = run
+        if self.admission is not None and items:
+            verdicts = self.admission.plan(len(items), self.priority)
+        else:
+            verdicts = ["admit"] * len(items)
+        return items, run, verdicts
 
     def map(self, fn: Callable, items: Iterable, on_error: str = "raise") -> list:
         """Apply ``fn`` to every item, returning results in input order.
@@ -609,24 +637,10 @@ class BatchExecutor:
         failure.  ``on_error="return"`` keeps going: a terminally-failed
         item's slot holds a :class:`BatchFailure` instead, letting the
         caller quarantine it — fatal errors abort the batch either way.
-
-        With an admission controller attached, the shed plan is drawn
-        *here*, once, in input order, before any worker starts — which
-        is what makes shed decisions byte-identical at any worker count.
         """
-        if on_error not in ("raise", "return"):
-            raise ValueError(
-                f'on_error must be "raise" or "return", got {on_error!r}'
-            )
-        items = list(items)
-        run = _MapRun()
-        self._last_run = run
+        items, run, verdicts = self._start(items, on_error, threading.Event())
         if not items:
             return []
-        if self.admission is not None:
-            verdicts = self.admission.plan(len(items), self.priority)
-        else:
-            verdicts = ["admit"] * len(items)
         if self.workers == 1:
             return [
                 self._run_one(fn, item, index, run, on_error, verdicts[index])

@@ -98,7 +98,6 @@ class ManualCurator(DemonstrationSelector):
         self.pool_cap = pool_cap
         self.seed = seed
         self.label_of = label_of
-        self.trace: list[tuple[int, float]] = []
 
     def _candidate_pool(self, pool: Sequence) -> list:
         """A label-balanced, size-capped working set of candidates."""
@@ -135,8 +134,6 @@ class ManualCurator(DemonstrationSelector):
             return []
         candidates = self._candidate_pool(pool)
         chosen: list = []
-        best_score = self.evaluate(chosen)
-        self.trace = [(0, best_score)]
         while len(chosen) < k and candidates:
             step_best = None
             step_score = -1.0
@@ -153,6 +150,4 @@ class ManualCurator(DemonstrationSelector):
                 break
             chosen.append(step_best)
             candidates.remove(step_best)
-            best_score = max(best_score, step_score)
-            self.trace.append((len(chosen), best_score))
         return chosen

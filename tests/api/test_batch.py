@@ -97,15 +97,19 @@ class TestBatchExecutor:
         assert BatchExecutor(workers=4).map(len, []) == []
 
     def test_backoff_is_deterministic_exponential(self):
-        executor = BatchExecutor(backoff_base=0.1, backoff_cap=0.5)
-        assert executor.backoff_delay(0) == pytest.approx(0.1)
-        assert executor.backoff_delay(1) == pytest.approx(0.2)
-        assert executor.backoff_delay(2) == pytest.approx(0.4)
-        assert executor.backoff_delay(3) == pytest.approx(0.5)  # capped
-        assert executor.backoff_delay(10) == pytest.approx(0.5)
+        executor = BatchExecutor(
+            policy=RetryPolicy(backoff_base=0.1, backoff_cap=0.5)
+        )
+        assert executor.policy.delay(0) == pytest.approx(0.1)
+        assert executor.policy.delay(1) == pytest.approx(0.2)
+        assert executor.policy.delay(2) == pytest.approx(0.4)
+        assert executor.policy.delay(3) == pytest.approx(0.5)  # capped
+        assert executor.policy.delay(10) == pytest.approx(0.5)
 
     def test_retries_transient_failures(self):
-        executor = BatchExecutor(workers=4, max_retries=2, backoff_base=0.0)
+        executor = BatchExecutor(
+            workers=4, policy=RetryPolicy(max_retries=2, backoff_base=0.0)
+        )
         fn = FlakyFn(n_failures=2)
         assert executor.map(fn, ["a", "b"]) == ["ok:a", "ok:b"]
         records = sorted(executor.records, key=lambda r: r.index)
@@ -113,7 +117,9 @@ class TestBatchExecutor:
         assert all(record.ok for record in records)
 
     def test_retry_exhaustion_raises(self):
-        executor = BatchExecutor(workers=1, max_retries=1, backoff_base=0.0)
+        executor = BatchExecutor(
+            workers=1, policy=RetryPolicy(max_retries=1, backoff_base=0.0)
+        )
         with pytest.raises(RateLimitError):
             executor.map(FlakyFn(n_failures=5), ["a"])
         (record,) = executor.records
@@ -122,7 +128,9 @@ class TestBatchExecutor:
         assert "transient failure" in record.error
 
     def test_non_retryable_errors_propagate_immediately(self):
-        executor = BatchExecutor(workers=1, max_retries=3, backoff_base=0.0)
+        executor = BatchExecutor(
+            workers=1, policy=RetryPolicy(max_retries=3, backoff_base=0.0)
+        )
         fn = FlakyFn(n_failures=5, error=ValueError)
         with pytest.raises(ValueError):
             executor.map(fn, ["a"])
@@ -180,7 +188,7 @@ class TestSharedBudget:
     def test_executor_never_overshoots_budget(self):
         budget = SharedBudget(max_requests=5)
         executor = BatchExecutor(
-            workers=8, max_retries=0, budget=budget,
+            workers=8, policy=RetryPolicy(max_retries=0), budget=budget,
         )
         with pytest.raises(RateLimitError):
             executor.map(lambda x: x, list(range(32)))
@@ -215,19 +223,9 @@ class TestRetryPolicy:
         policy = RetryPolicy(max_retries=7, backoff_base=0.3, backoff_cap=0.9)
         executor = BatchExecutor(workers=2, policy=policy)
         assert executor.policy is policy
-        assert executor.max_retries == 7
-        assert executor.backoff_delay(0) == pytest.approx(0.3)
-        assert executor.backoff_delay(5) == pytest.approx(0.9)
-
-    def test_executor_rejects_policy_plus_loose_knobs(self):
-        with pytest.raises(ValueError):
-            BatchExecutor(policy=RetryPolicy(), max_retries=3)
-
-    def test_legacy_knobs_fold_into_a_policy(self):
-        executor = BatchExecutor(max_retries=5, backoff_base=0.2)
-        assert executor.policy.max_retries == 5
-        assert executor.policy.backoff_base == pytest.approx(0.2)
-        assert executor.policy.backoff_cap == pytest.approx(2.0)  # default
+        assert executor.policy.max_retries == 7
+        assert executor.policy.delay(0) == pytest.approx(0.3)
+        assert executor.policy.delay(5) == pytest.approx(0.9)
 
     def test_client_shares_the_policy_type(self):
         client = CompletionClient(CountingBackend(),
@@ -268,7 +266,8 @@ class TestFailFast:
         large that a single retry sleep would blow the time budget."""
         budget = SharedBudget(max_requests=5)
         executor = BatchExecutor(
-            workers=8, max_retries=3, backoff_base=30.0, budget=budget,
+            workers=8, policy=RetryPolicy(max_retries=3, backoff_base=30.0),
+            budget=budget,
         )
         fn = CountingFn()
         started = time.perf_counter()
@@ -282,12 +281,16 @@ class TestFailFast:
 
     def test_budget_exhaustion_is_still_a_rate_limit_error(self):
         budget = SharedBudget(max_requests=1)
-        executor = BatchExecutor(workers=1, max_retries=0, budget=budget)
+        executor = BatchExecutor(
+            workers=1, policy=RetryPolicy(max_retries=0), budget=budget
+        )
         with pytest.raises(RateLimitError):
             executor.map(CountingFn(), ["a", "b"])
 
     def test_fatal_error_cancels_pending_items(self):
-        executor = BatchExecutor(workers=2, backoff_base=0.0)
+        executor = BatchExecutor(
+            workers=2, policy=RetryPolicy(backoff_base=0.0)
+        )
         fn = CountingFn(error=FatalError)
         with pytest.raises(FatalError):
             executor.map(fn, list(range(200)))
@@ -298,7 +301,9 @@ class TestFailFast:
     def test_abort_wakes_workers_mid_backoff(self):
         """A worker sleeping a 30s backoff must wake the moment another
         worker hits a fatal error — not after its sleep expires."""
-        executor = BatchExecutor(workers=2, max_retries=3, backoff_base=30.0)
+        executor = BatchExecutor(
+            workers=2, policy=RetryPolicy(max_retries=3, backoff_base=30.0)
+        )
         fatal_after = 0.05
 
         def fn(item):
@@ -344,7 +349,9 @@ class TestFailFast:
         assert fresh.map(str.upper, ["c"]) == ["C"]
 
     def test_transient_retries_still_work_after_fail_fast_change(self):
-        executor = BatchExecutor(workers=4, max_retries=1, backoff_base=0.0)
+        executor = BatchExecutor(
+            workers=4, policy=RetryPolicy(max_retries=1, backoff_base=0.0)
+        )
         fn = CountingFn(fail_first={"a", "c"})
         assert executor.map(fn, ["a", "b", "c"]) == ["ok:a", "ok:b", "ok:c"]
         retried = {r.index: r.attempts for r in executor.records}
@@ -573,6 +580,15 @@ class TestScatterMode:
     def test_rejects_unknown_on_error(self):
         with pytest.raises(ValueError, match="on_error"):
             BatchExecutor(workers=1).map(str, ["a"], on_error="ignore")
+
+    def test_interrupt_is_never_captured_as_a_failure(self):
+        def interrupted(item):
+            raise KeyboardInterrupt
+
+        executor = BatchExecutor(workers=1)
+        with pytest.raises(KeyboardInterrupt):
+            executor.map(interrupted, ["a", "b"], on_error="return")
+        assert executor.records == []
 
 
 class TestCircuitBreaker:

@@ -8,7 +8,6 @@ import pytest
 from repro.api import (
     AdmissionController,
     AIMDLimiter,
-    BatchExecutor,
     BatchFailure,
     CircuitBreaker,
     CompletionClient,
@@ -21,7 +20,9 @@ from repro.api import (
     RetryPolicy,
     Shed,
     SharedBudget,
+    make_executor,
 )
+from repro.api.batch import EXECUTOR_KINDS
 
 pytestmark = pytest.mark.smoke
 
@@ -276,9 +277,15 @@ class TestBreakerInjectedClock:
 
 
 class TestExecutorWiring:
+    """Executor-level resilience wiring, through the thread pool here and
+    through every other executor kind in the subclasses below."""
+
+    kind = "thread"
+
     def test_shed_surfaces_as_typed_batch_failure(self):
         budget = SharedBudget(max_requests=4)
-        executor = BatchExecutor(
+        executor = make_executor(
+            self.kind,
             workers=2,
             admission=AdmissionController(budget=budget),
             priority="interactive",
@@ -295,7 +302,8 @@ class TestExecutorWiring:
             assert failure.index == index
 
     def test_shed_raises_in_strict_mode(self):
-        executor = BatchExecutor(
+        executor = make_executor(
+            self.kind,
             admission=AdmissionController(
                 budget=SharedBudget(max_requests=0)
             ),
@@ -306,8 +314,9 @@ class TestExecutorWiring:
 
     def test_shed_survivors_identical_to_unconstrained_run(self):
         items = [f"item-{i}" for i in range(10)]
-        clean = BatchExecutor(workers=3).map(lambda s: s.upper(), items)
-        constrained = BatchExecutor(
+        clean = make_executor(self.kind, workers=3).map(str.upper, items)
+        constrained = make_executor(
+            self.kind,
             workers=3,
             admission=AdmissionController(
                 budget=SharedBudget(max_requests=6)
@@ -322,7 +331,7 @@ class TestExecutorWiring:
         clock = FakeClock()
         deadline = Deadline(1.0, clock=clock)
         clock.advance(2.0)
-        executor = BatchExecutor(deadline=deadline)
+        executor = make_executor(self.kind, deadline=deadline)
         calls: list[int] = []
         with pytest.raises(DeadlineExceededError):
             executor.map(calls.append, [1, 2, 3])
@@ -343,7 +352,8 @@ class TestExecutorWiring:
                 raise RateLimitError("transient")
             return item
 
-        executor = BatchExecutor(
+        executor = make_executor(
+            self.kind,
             deadline=deadline,
             policy=RetryPolicy(max_retries=2, backoff_base=10.0),
         )
@@ -352,6 +362,37 @@ class TestExecutorWiring:
         started = _time.perf_counter()
         assert executor.map(flaky, ["x"]) == ["x"]
         assert _time.perf_counter() - started < 1.0
+
+    def test_retry_after_floors_the_backoff(self):
+        """An explicit Retry-After delays the retry even when the
+        policy's own ladder would retry at once."""
+        import time as _time
+
+        from repro.api import BackendRateLimitError
+
+        stamps: list[float] = []
+
+        def throttled(item):
+            stamps.append(_time.perf_counter())
+            if len(stamps) == 1:
+                raise BackendRateLimitError(429, retry_after_s=0.2)
+            return item
+
+        executor = make_executor(
+            self.kind, policy=RetryPolicy(max_retries=1, backoff_base=0.0)
+        )
+        assert executor.policy.delay(0, key="0") == 0.0
+        assert executor.map(throttled, ["x"]) == ["x"]
+        assert stamps[1] - stamps[0] >= 0.2
+
+
+class TestAsyncExecutorWiring(TestExecutorWiring):
+    kind = "async"
+
+
+def test_wiring_runs_through_every_executor_kind():
+    kinds = {cls.kind for cls in (TestExecutorWiring, TestAsyncExecutorWiring)}
+    assert kinds == set(EXECUTOR_KINDS)
 
 
 class TestHedgedClient:

@@ -67,12 +67,6 @@ class TestManualCurator:
         positives = sum(_label(item) for item in chosen)
         assert abs(positives - (len(chosen) - positives)) <= 1
 
-    def test_trace_recorded(self):
-        curator = ManualCurator(evaluate=lambda demos: float(len(demos)), seed=0)
-        curator.select(POOL, 3)
-        assert curator.trace[0] == (0, 0.0)
-        assert curator.trace[-1][0] == 3
-
     def test_k_zero(self):
         curator = ManualCurator(evaluate=lambda demos: 0.0)
         assert curator.select(POOL, 0) == []
@@ -95,7 +89,6 @@ class TestManualCurator:
             return float(sum(item[1] for item in demos) % 7)
 
         ManualCurator(evaluate=evaluate, pool_cap=6, seed=0).select(POOL, 2)
-        assert seen[0] == (0, None)  # the empty list is scored unfloored
         for size in (1, 2):
             floors = [floor for n, floor in seen if n == size]
             assert floors[0] == -1.0
